@@ -49,7 +49,7 @@ def main() -> None:
             reference_answers = final
         else:
             for got, want in zip(final, reference_answers):
-                assert answers_equal(got.neighbors(), want.neighbors()), method
+                assert answers_equal(got.neighbors, want.neighbors), method
         rows.append(
             [
                 method,

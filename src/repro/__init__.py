@@ -16,15 +16,15 @@ Quickstart::
     system.load(objects)
     for _ in range(10):
         objects = motion.step(objects)
-        answers = system.tick(objects)   # exact k-NN per query, timestamped
+        answers = system.tick(objects)   # AnswerBatch: exact k-NN per query
 """
 
 from .core import (
     METHOD_CONFIGS,
+    AnswerBatch,
     AnswerDelta,
     AnswerList,
     CircleRegion,
-    CycleStats,
     DeltaTracker,
     DynamicPopulation,
     GNNMonitor,
@@ -33,7 +33,6 @@ from .core import (
     KNNJoinMonitor,
     KeyedAnswer,
     MethodConfig,
-    MonitoringService,
     MonitoringSystem,
     ObjectIndex,
     PositionBuffer,
@@ -67,6 +66,7 @@ from .engines import (
 from .errors import (
     ConfigurationError,
     IndexStateError,
+    NonFiniteCoordinateError,
     NotEnoughObjectsError,
     OutOfRegionError,
     ReproError,
@@ -105,13 +105,13 @@ from .viz import density_plot, side_by_side
 __version__ = "1.0.0"
 
 __all__ = [
+    "AnswerBatch",
     "AnswerDelta",
     "AnswerList",
     "BaseEngine",
     "CircleRegion",
     "ConfigurationError",
     "CyclePipeline",
-    "CycleStats",
     "CycleTiming",
     "DeltaTracker",
     "DispersionProcess",
@@ -128,10 +128,10 @@ __all__ = [
     "METHOD_CONFIGS",
     "MethodConfig",
     "MetricsRegistry",
-    "MonitoringService",
     "MonitoringSession",
     "MonitoringSystem",
     "NULL_REGISTRY",
+    "NonFiniteCoordinateError",
     "NotEnoughObjectsError",
     "NullRegistry",
     "ObjectIndex",

@@ -5,7 +5,6 @@ from .results import ExperimentResult, format_table
 from .runner import (
     METHOD_FACTORIES,
     CycleTiming,
-    make_system,
     measure_cycles,
     measure_method,
 )
@@ -16,7 +15,6 @@ __all__ = [
     "ExperimentResult",
     "METHOD_FACTORIES",
     "format_table",
-    "make_system",
     "measure_cycles",
     "measure_method",
     "run_experiment",

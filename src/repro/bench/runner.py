@@ -12,13 +12,11 @@ Timing records come straight from the engine layer's unified pipeline:
 (via :meth:`~repro.engines.base.CycleTiming.from_history`) the
 steady-state summary this module returns.  System construction resolves
 through the single engine registry
-(:func:`repro.engines.registry.build_system`); the former local
-``make_system`` remains as a deprecated alias.
+(:func:`repro.engines.registry.build_system`).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Mapping
 
 import numpy as np
@@ -34,7 +32,6 @@ __all__ = [
     "BENCH_PRESETS",
     "METHOD_FACTORIES",
     "CycleTiming",
-    "make_system",
     "measure_cycles",
     "measure_method",
 ]
@@ -61,22 +58,6 @@ def measure_cycles(
         current = motion.step(current)
         system.tick(current)
     return CycleTiming.from_history(system.history)
-
-
-def make_system(method: str, k: int, queries: np.ndarray, **kwargs) -> MonitoringSystem:
-    """Deprecated alias of :func:`repro.engines.registry.build_system`.
-
-    ``method`` may be a benchmark preset (``object_overhaul``, ...) or any
-    bare registry method name (``object_indexing``, ``sharded``, ...);
-    keyword arguments override the preset's options.
-    """
-    warnings.warn(
-        "repro.bench.runner.make_system() is deprecated; use "
-        "repro.engines.registry.build_system() or MonitoringSystem.create()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_system(method, k, queries, **kwargs)
 
 
 class _PresetFactories(Mapping):

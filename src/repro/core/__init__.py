@@ -1,7 +1,7 @@
 """Core monitoring algorithms: the paper's primary contribution."""
 
 from .advisor import Recommendation, WorkloadProfile, calibrate, recommend
-from .answers import AnswerList, Neighbor, QueryAnswer, answers_equal
+from .answers import AnswerBatch, AnswerList, Neighbor, QueryAnswer, answers_equal
 from .brute import brute_force_all, brute_force_knn
 from .cost_model import (
     ObjectIndexingCost,
@@ -15,7 +15,7 @@ from .cost_model import (
     pr_exit,
     pr_exit_paper,
 )
-from .buffer import MonitoringService, PositionBuffer
+from .buffer import PositionBuffer
 from .deltas import AnswerDelta, DeltaTracker, answer_delta
 from .gnn import GNNMonitor, GroupQuery, brute_force_group_knn, group_knn
 from .hierarchical import HierarchicalObjectIndex
@@ -48,7 +48,6 @@ from .config import (
 from .monitor import (
     BaseEngine,
     BruteForceEngine,
-    CycleStats,
     HierarchicalEngine,
     MonitoringSystem,
     ObjectIndexingEngine,
@@ -60,6 +59,7 @@ from .object_index import ObjectIndex
 from .query_index import QueryIndex
 
 __all__ = [
+    "AnswerBatch",
     "AnswerDelta",
     "AnswerList",
     "CircleRegion",
@@ -69,7 +69,6 @@ __all__ = [
     "GroupQuery",
     "KNNJoinMonitor",
     "KeyedAnswer",
-    "MonitoringService",
     "PositionBuffer",
     "RKNNMonitor",
     "RangeMonitor",
@@ -89,7 +88,6 @@ __all__ = [
     "BruteForceConfig",
     "BruteForceEngine",
     "CSRGrid",
-    "CycleStats",
     "FastGridConfig",
     "HierarchicalConfig",
     "METHOD_CONFIGS",

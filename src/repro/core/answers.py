@@ -1,10 +1,17 @@
-"""k-NN answer lists.
+"""k-NN answer lists and the columnar answer batch.
 
 Each monitored query maintains "an ordered list of k objects sorted from
 the nearest neighbor to the furthest" (paper, Fig. 1).  :class:`AnswerList`
 is that structure: a bounded, distance-sorted list of ``(object_id,
 distance)`` pairs.  For the small ``k`` typical of this workload (the paper
 sweeps k up to 20) binary-search insertion into a flat list beats a heap.
+The pure-Python reproduction engines build their answers with it.
+
+:class:`AnswerBatch` is the one answer representation between an engine
+and the caller: a whole cycle's answers as two ``(nq, k)`` arrays of
+squared distances and object ids.  The vectorized engines hand their
+kernel output over as-is; the reproduction engines convert their
+:class:`AnswerList` objects once with :meth:`AnswerBatch.from_lists`.
 """
 
 from __future__ import annotations
@@ -12,7 +19,9 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union, overload
+
+import numpy as np
 
 from ..errors import ConfigurationError
 
@@ -27,17 +36,13 @@ class AnswerList:
     sorts by distance (object id breaks exact ties deterministically).
     """
 
-    __slots__ = ("k", "_entries", "_neighbors_memo")
+    __slots__ = ("k", "_entries")
 
     def __init__(self, k: int) -> None:
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
         self.k = k
         self._entries: List[Tuple[float, int]] = []
-        #: Memoized neighbors() result; answer reuse returns the same
-        #: AnswerList across cycles, so the sqrt/tuple materialization
-        #: only runs when the entries actually changed.
-        self._neighbors_memo: "List[Neighbor] | None" = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -47,7 +52,6 @@ class AnswerList:
 
     def clear(self) -> None:
         self._entries.clear()
-        self._neighbors_memo = None
 
     @property
     def full(self) -> bool:
@@ -80,13 +84,11 @@ class AnswerList:
         entry = (dist2, object_id)
         if len(entries) < self.k:
             insort(entries, entry)
-            self._neighbors_memo = None
             return True
         if entry >= entries[-1]:
             return False
         entries.pop()
         insort(entries, entry)
-        self._neighbors_memo = None
         return True
 
     def object_ids(self) -> List[int]:
@@ -94,17 +96,8 @@ class AnswerList:
         return [object_id for _, object_id in self._entries]
 
     def neighbors(self) -> List[Neighbor]:
-        """The answer as ``(object_id, distance)`` pairs, nearest first.
-
-        The result is memoized until the entries change; treat it as
-        read-only.
-        """
-        memo = self._neighbors_memo
-        if memo is None:
-            memo = self._neighbors_memo = [
-                (object_id, math.sqrt(d2)) for d2, object_id in self._entries
-            ]
-        return memo
+        """The answer as ``(object_id, distance)`` pairs, nearest first."""
+        return [(object_id, math.sqrt(d2)) for d2, object_id in self._entries]
 
     def kth_dist(self) -> float:
         """Distance to the k-th (furthest reported) neighbor."""
@@ -137,6 +130,140 @@ class QueryAnswer:
         if not self.neighbors:
             return math.inf
         return self.neighbors[-1][1]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    if array.flags.writeable:
+        array = array.view()
+        array.flags.writeable = False
+    return array
+
+
+class AnswerBatch(Sequence[QueryAnswer]):
+    """One cycle's exact k-NN answers for every query, column-wise.
+
+    ``d2[i, j]`` / ``ids[i, j]`` are the squared distance and object id of
+    query ``i``'s ``j``-th nearest neighbor; each row is sorted by
+    ``(distance, id)``.  A query answered with fewer than ``k`` neighbors
+    has its row padded with ``inf`` / ``-1``, exactly as
+    :func:`~repro.core.fast_index.batch_knn` pads.  ``timestamp`` is the
+    snapshot time the answers are exact for.
+
+    Both arrays are read-only, and a batch is a value: an engine that
+    rewrites its answer state on later cycles hands over arrays it never
+    writes again (or an owned copy), so an answer held from one cycle is
+    unchanged after the next.
+
+    The batch is also a read-only ``Sequence[QueryAnswer]``: row ``i`` is
+    packaged on access with one ``np.sqrt`` over the row.  IEEE sqrt is
+    correctly rounded, so the distances are bit-identical to
+    ``math.sqrt`` of each entry.  Padding is not reported.
+    """
+
+    __slots__ = ("d2", "ids", "timestamp")
+
+    def __init__(self, d2: np.ndarray, ids: np.ndarray, timestamp: float = 0.0) -> None:
+        d2 = np.asarray(d2, dtype=np.float64)
+        ids = np.asarray(ids, dtype=np.int64)
+        if d2.ndim != 2 or d2.shape != ids.shape:
+            raise ConfigurationError(
+                f"an answer batch needs two equal (nq, k) arrays, got "
+                f"{d2.shape} and {ids.shape}"
+            )
+        self.d2 = _read_only(d2)
+        self.ids = _read_only(ids)
+        self.timestamp = float(timestamp)
+
+    @classmethod
+    def empty(cls, k: int, timestamp: float = 0.0) -> "AnswerBatch":
+        """A batch with no queries."""
+        return cls(np.empty((0, k)), np.empty((0, k), dtype=np.int64), timestamp)
+
+    @classmethod
+    def from_lists(
+        cls, answers: Sequence[Iterable[Tuple[float, int]]], k: int, timestamp: float = 0.0
+    ) -> "AnswerBatch":
+        """Pack per-query ``(d2, id)`` lists (e.g. :class:`AnswerList`).
+
+        Each list must be sorted and hold at most ``k`` entries; shorter
+        rows are padded with ``inf`` / ``-1``.
+        """
+        rows = [list(answer) for answer in answers]
+        lengths = np.fromiter((len(r) for r in rows), dtype=np.intp, count=len(rows))
+        d2 = np.full((len(rows), k), np.inf)
+        ids = np.full((len(rows), k), -1, dtype=np.int64)
+        flat = np.array([entry for row in rows for entry in row], dtype=np.float64)
+        if len(flat):
+            filled = np.arange(k) < lengths[:, None]
+            d2[filled] = flat[:, 0]
+            ids[filled] = flat[:, 1]
+        return cls(d2, ids, timestamp)
+
+    def with_timestamp(self, timestamp: float) -> "AnswerBatch":
+        """The same answers stamped with another snapshot time (no copy)."""
+        return AnswerBatch(self.d2, self.ids, timestamp)
+
+    @property
+    def k(self) -> int:
+        return self.ids.shape[1]
+
+    def neighbor_rows(self, ids: Optional[np.ndarray] = None) -> List[Tuple[Neighbor, ...]]:
+        """Every query's ``(object_id, distance)`` pairs, nearest first.
+
+        Distances come from one vectorized ``np.sqrt`` over the batch.
+        ``ids`` optionally replaces :attr:`ids` in the output, e.g. the
+        same ids translated into a caller's namespace by one gather.
+        Padding is dropped.
+        """
+        id_rows = (self.ids if ids is None else ids).tolist()
+        dist_rows = np.sqrt(self.d2).tolist()
+        if not len(self.ids) or self.ids[:, -1].min() >= 0:
+            return [tuple(zip(i, d)) for i, d in zip(id_rows, dist_rows)]
+        lengths = (self.ids >= 0).sum(axis=1).tolist()
+        return [
+            tuple(zip(i[:n], d[:n])) for i, d, n in zip(id_rows, dist_rows, lengths)
+        ]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @overload
+    def __getitem__(self, index: int) -> QueryAnswer: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[QueryAnswer]: ...
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[QueryAnswer, List[QueryAnswer]]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        row = range(len(self))[index]
+        n = int((self.ids[row] >= 0).sum())
+        neighbors = zip(
+            self.ids[row, :n].tolist(), np.sqrt(self.d2[row, :n]).tolist()
+        )
+        return QueryAnswer(row, self.timestamp, tuple(neighbors))
+
+    def __iter__(self) -> Iterator[QueryAnswer]:
+        timestamp = self.timestamp
+        for row, neighbors in enumerate(self.neighbor_rows()):
+            yield QueryAnswer(row, timestamp, neighbors)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, AnswerBatch):
+            return (
+                self.timestamp == other.timestamp
+                and np.array_equal(self.ids, other.ids)
+                and np.array_equal(self.d2, other.d2)
+            )
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        nq, k = self.ids.shape
+        return f"AnswerBatch(nq={nq}, k={k}, timestamp={self.timestamp})"
 
 
 def answers_equal(

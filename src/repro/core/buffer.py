@@ -16,24 +16,20 @@ copies anywhere on the path.  **Snapshots are immutable now**: writing
 through the returned array raises ``ValueError`` where it used to
 silently modify a private copy.
 
-:class:`MonitoringService` is deprecated; prefer
-:class:`repro.service.MonitoringSession` (query/object churn, stable
-handles, backpressure) or drive a :class:`PositionBuffer` +
-:class:`~repro.core.monitor.MonitoringSystem` pair directly.
+Drive a :class:`PositionBuffer` + :class:`~repro.core.monitor.MonitoringSystem`
+pair directly (``system.tick(buffer.publish())`` is the whole loop), or
+use :class:`repro.service.MonitoringSession` for query/object churn.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError, OutOfRegionError
 from ..obs.registry import MetricsRegistry
 from ..state import WorldSnapshot, WorldStore
-from .answers import QueryAnswer
-from .monitor import MonitoringSystem
 
 
 class PositionBuffer:
@@ -151,47 +147,3 @@ class PositionBuffer:
         explicitly now (``buffer.snapshot().copy()``).
         """
         return self.publish().positions
-
-
-class MonitoringService:
-    """Deprecated streaming facade: buffer + system behind one object.
-
-    .. deprecated::
-        Use :class:`repro.service.MonitoringSession` (stable handles,
-        churn admission, backpressure) or compose a
-        :class:`PositionBuffer` with a
-        :class:`~repro.core.monitor.MonitoringSystem` directly —
-        ``system.tick(buffer.publish())`` is the whole loop.
-    """
-
-    def __init__(
-        self, system: MonitoringSystem, initial_positions: np.ndarray
-    ) -> None:
-        warnings.warn(
-            "MonitoringService is deprecated; use repro.service."
-            "MonitoringSession, or drive a PositionBuffer + "
-            "MonitoringSystem pair directly (system.tick(buffer.publish()))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.buffer = PositionBuffer(
-            initial_positions, registry=system.registry
-        )
-        self.system = system
-        #: Exact answers for the initial snapshot (timestamp 0).
-        self.initial_answers: List[QueryAnswer] = system.load(self.buffer.publish())
-
-    def report(self, object_id: int, x: float, y: float) -> None:
-        """Accept one asynchronous position report."""
-        self.buffer.report(object_id, x, y)
-
-    def report_batch(self, object_ids: Sequence[int], positions: np.ndarray) -> None:
-        self.buffer.report_batch(object_ids, positions)
-
-    def run_cycle(self) -> List[QueryAnswer]:
-        """Take a snapshot and run one monitoring cycle against it."""
-        return self.system.tick(self.buffer.publish())
-
-    @property
-    def timestamp(self) -> float:
-        return self.system.timestamp

@@ -66,13 +66,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..engines.base import BaseEngine
+from ..engines.base import BaseEngine, BoundedHistory
 from ..errors import ConfigurationError, IndexStateError, NotEnoughObjectsError
 from ..state import as_world_snapshot
 from ..grid.grid2d import resolve_grid_size
 from ..obs.registry import NULL_REGISTRY, MetricsRegistry
 from ..obs.tracing import Tracer
-from .answers import AnswerList
+from .answers import AnswerBatch
 from .fast_index import StageTimings, batch_knn
 
 try:  # pragma: no cover - exercised via _scipy_group_works()
@@ -720,6 +720,13 @@ class DeltaCSRGrid:
             d2[gaps] = np.inf
         return ids, d2
 
+    def slot_coords(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(x, y)`` of the objects in CSR ``slots`` (slack gaps dropped)."""
+        assert self._x is not None and self._y is not None
+        ids = self.ids[slots]
+        ids = ids[ids >= 0]
+        return self._x[ids], self._y[ids]
+
     def clean_queries(self, rects: np.ndarray) -> np.ndarray:
         """Per-query True when no dirty cell meets the rectangle (+-1 cell).
 
@@ -835,7 +842,7 @@ class DeltaGridEngine(BaseEngine):
         self._slack = float(slack)
         self._reuse = bool(reuse)
         self.grid: Optional[DeltaCSRGrid] = None
-        self.stage_history: List[StageTimings] = []
+        self.stage_history: BoundedHistory[StageTimings] = BoundedHistory()
         self._snapshot_time = 0.0
         self._stage_tracer = Tracer(NULL_REGISTRY)
         self.last_reuse_mask: Optional[np.ndarray] = None
@@ -843,7 +850,6 @@ class DeltaGridEngine(BaseEngine):
         self._prev_top_ids: Optional[np.ndarray] = None
         self._prev_rects: Optional[np.ndarray] = None
         self._prev_kth: Optional[np.ndarray] = None
-        self._prev_answers: Optional[List[AnswerList]] = None
         self._member_idx: Optional[np.ndarray] = None
         # Rows admitted by the last query delta: their remapped reuse
         # slots are placeholders, so they must be re-answered once.
@@ -868,7 +874,6 @@ class DeltaGridEngine(BaseEngine):
         self._prev_top_ids = None
         self._prev_rects = None
         self._prev_kth = None
-        self._prev_answers = None
         self.last_reuse_mask = None
         self._fresh_queries = None
 
@@ -892,7 +897,6 @@ class DeltaGridEngine(BaseEngine):
             return
         has_prev = kept >= 0
         safe = np.where(has_prev, kept, 0)
-        k = self.k
         top_d2 = self._prev_top_d2[safe].copy()
         top_ids = self._prev_top_ids[safe].copy()
         rects = self._prev_rects[safe].copy()
@@ -902,13 +906,8 @@ class DeltaGridEngine(BaseEngine):
         top_ids[new_rows] = -1
         rects[new_rows] = 0
         kth[new_rows] = np.inf
-        if self._prev_answers is not None:
-            # Fresh rows get placeholders; they are force-re-answered
-            # (via _fresh_queries) before the next answers are returned.
-            self._prev_answers = [
-                self._prev_answers[i] if i >= 0 else AnswerList(k)
-                for i in kept
-            ]
+        # Fresh rows hold placeholders; they are force-re-answered (via
+        # _fresh_queries) before the next answers are returned.
         self._prev_top_d2 = top_d2
         self._prev_top_ids = top_ids
         self._prev_rects = rects
@@ -952,7 +951,7 @@ class DeltaGridEngine(BaseEngine):
         return resolve_grid_size(self._ncells, self._delta, None)
 
     def load(self, positions: np.ndarray) -> None:
-        self.stage_history = []
+        self.stage_history.clear()
         self.grid = None
         self._drop_reuse_state()
         self.maintain(positions)
@@ -1001,7 +1000,7 @@ class DeltaGridEngine(BaseEngine):
     # ------------------------------------------------------------------
     # Answering: dirty-rectangle reuse + seeded batch_knn
     # ------------------------------------------------------------------
-    def answer(self) -> List[AnswerList]:
+    def answer(self) -> AnswerBatch:
         grid = self.grid
         if grid is None:
             raise IndexStateError("load() must run before answer()")
@@ -1013,7 +1012,7 @@ class DeltaGridEngine(BaseEngine):
             self.stage_history.append(
                 StageTimings(self._snapshot_time, 0.0, 0.0, 0.0)
             )
-            return []
+            return AnswerBatch.empty(k)
 
         with self._stage_tracer.span("reuse_check"):
             reusable = (
@@ -1039,8 +1038,13 @@ class DeltaGridEngine(BaseEngine):
             top_ids = np.full((nq, k), -1, dtype=np.int64)
             rects = np.zeros((nq, 4), dtype=np.intp)
         else:
+            # The previous answer arrays went out in the last batch and
+            # must never change: re-answered rows go into copies.
             top_d2 = self._prev_top_d2
             top_ids = self._prev_top_ids
+            if len(affected):
+                top_d2 = top_d2.copy()
+                top_ids = top_ids.copy()
             rects = self._prev_rects
 
         timings = {"radii": 0.0, "gather": 0.0, "select": 0.0}
@@ -1069,31 +1073,6 @@ class DeltaGridEngine(BaseEngine):
                 self.metrics.inc("fast.answer.ring_passes", stats["ring_passes"])
                 self.metrics.inc("fast.answer.pairs", stats["pairs"])
 
-        prev_answers = self._prev_answers
-        if prev_answers is not None and len(prev_answers) == nq:
-            # Clean queries keep last cycle's AnswerList objects (and
-            # their memoized neighbors); only re-answered rows are
-            # materialized again.
-            answers = prev_answers
-            if len(affected):
-                d_rows = top_d2[affected].tolist()
-                i_rows = top_ids[affected].tolist()
-                for j, query_id in enumerate(affected.tolist()):
-                    answer = AnswerList(k)
-                    answer._entries = list(zip(d_rows[j], i_rows[j]))
-                    answers[query_id] = answer
-        else:
-            answers = []
-            d_rows = top_d2.tolist()
-            i_rows = top_ids.tolist()
-            for query_id in range(nq):
-                answer = AnswerList(k)
-                answer._entries = list(zip(d_rows[query_id], i_rows[query_id]))
-                answers.append(answer)
-        self._prev_answers = answers
-
-        self._prev_top_d2 = top_d2
-        self._prev_top_ids = top_ids
         self._prev_rects = rects
         self._prev_kth = np.sqrt(top_d2[:, k - 1])
         self.last_reuse_mask = clean
@@ -1111,7 +1090,10 @@ class DeltaGridEngine(BaseEngine):
                 timings["select"],
             )
         )
-        return answers
+        batch = AnswerBatch(top_d2, top_ids)
+        self._prev_top_d2 = batch.d2
+        self._prev_top_ids = batch.ids
+        return batch
 
     # ------------------------------------------------------------------
     # Introspection (parity with FastGridEngine)

@@ -52,8 +52,8 @@ from ..grid.grid2d import resolve_grid_size
 from ..obs.registry import MetricsRegistry, NULL_REGISTRY
 from ..obs.tracing import NULL_TRACER, Tracer
 
-from ..engines.base import BaseEngine, _as_queries
-from .answers import AnswerList
+from ..engines.base import BaseEngine, BoundedHistory, _as_queries
+from .answers import AnswerBatch
 
 STAGE_NAMES = ("snapshot_csr", "radii", "gather", "select")
 
@@ -189,6 +189,10 @@ class CSRGrid:
         pdy = self.ys[cand] - py
         return self.ids[cand], pdx * pdx + pdy * pdy
 
+    def slot_coords(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(x, y)`` of the objects in CSR ``slots``."""
+        return self.xs[slots], self.ys[slots]
+
     # ------------------------------------------------------------------
     # SnapshotIndex protocol (repro.engines.snapshot) — scalar accessors
     # used by the index-agnostic workload operators.  The batched fast
@@ -261,6 +265,39 @@ class BatchKNNResult:
     timings: Dict[str, float]
     stats: Dict[str, int]
     rects: Optional[np.ndarray] = None
+
+
+def edge_extent(grid) -> Tuple[float, float, float, float]:
+    """Outermost coordinates held by a grid's edge cells.
+
+    Points outside the grid's region are clamped into the edge cells, so
+    an edge cell's objects may lie beyond the cell itself.  Returns the
+    minimum x over the left column, minimum y over the bottom row,
+    maximum x over the right column and maximum y over the top row
+    (``inf`` / ``-inf`` for an empty side).  Works on any grid exposing
+    ``cell_start`` and ``slot_coords``.
+    """
+    nx, ny = grid.nx, grid.ny
+    start = grid.cell_start
+
+    def side(cells: np.ndarray, axis: int, lowest: bool) -> float:
+        lo = start[cells]
+        sizes = start[cells + 1] - lo
+        slots = np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+        slots += np.arange(len(slots))
+        coords = grid.slot_coords(slots)[axis]
+        if not len(coords):
+            return np.inf if lowest else -np.inf
+        return float(coords.min() if lowest else coords.max())
+
+    col = np.arange(ny) * nx
+    row = np.arange(nx)
+    return (
+        side(col, 0, True),
+        side(row, 1, True),
+        side(col + (nx - 1), 0, False),
+        side(row + (ny - 1) * nx, 1, False),
+    )
 
 
 def _empty_result(nq: int, k: int) -> BatchKNNResult:
@@ -355,6 +392,17 @@ def batch_knn(
         r0_ylo = y0 + np.maximum(qj - level, 0) * dy
         r0_xhi = x0 + (np.minimum(qi + level, nx - 1) + 1) * dx
         r0_yhi = y0 + (np.minimum(qj + level, ny - 1) + 1) * dy
+        # Objects outside the region sit clamped in the edge cells, so an
+        # R0 that touches an edge reaches as far out as they lie.
+        ex0, ey0, ex1, ey1 = edge_extent(csr)
+        if ex0 < x0:
+            r0_xlo = np.where(qi - level <= 0, np.minimum(r0_xlo, ex0), r0_xlo)
+        if ey0 < y0:
+            r0_ylo = np.where(qj - level <= 0, np.minimum(r0_ylo, ey0), r0_ylo)
+        if ex1 >= x1:
+            r0_xhi = np.where(qi + level >= nx - 1, np.maximum(r0_xhi, ex1), r0_xhi)
+        if ey1 >= y1:
+            r0_yhi = np.where(qj + level >= ny - 1, np.maximum(r0_yhi, ey1), r0_yhi)
         far_dx = np.maximum(qx - r0_xlo, r0_xhi - qx)
         far_dy = np.maximum(qy - r0_ylo, r0_yhi - qy)
         lcrit = np.hypot(far_dx, far_dy)
@@ -486,7 +534,8 @@ class FastGridEngine(BaseEngine):
 
     Same :class:`~repro.core.monitor.BaseEngine` contract as the
     paper-faithful engines, exact answers with ties broken by object ID.
-    Stage timings of every cycle are appended to :attr:`stage_history`.
+    Stage timings of every cycle are appended to :attr:`stage_history`
+    (the load cycle plus a bounded window of recent cycles).
 
     Churn support: the engine rebuilds its CSR snapshot every cycle and
     keeps no cross-cycle per-query state, so query deltas are a plain
@@ -511,7 +560,7 @@ class FastGridEngine(BaseEngine):
         self._delta = delta
         self._member_idx: Optional[np.ndarray] = None
         self.csr: Optional[CSRGrid] = None
-        self.stage_history: List[StageTimings] = []
+        self.stage_history: BoundedHistory[StageTimings] = BoundedHistory()
         self._snapshot_time = 0.0
         # stage_history must be populated whether or not the monitoring
         # system is instrumented, so stages are always timed by a real
@@ -545,7 +594,7 @@ class FastGridEngine(BaseEngine):
         self._member_idx = delta.member_idx
 
     def load(self, positions: np.ndarray) -> None:
-        self.stage_history = []
+        self.stage_history.clear()
         self.maintain(positions)
 
     def maintain(self, positions: np.ndarray) -> None:
@@ -568,7 +617,7 @@ class FastGridEngine(BaseEngine):
     # ------------------------------------------------------------------
     # Answering: one batch_knn pass over the whole unit square
     # ------------------------------------------------------------------
-    def answer(self) -> List[AnswerList]:
+    def answer(self) -> AnswerBatch:
         if self.csr is None:
             raise IndexStateError("load() must run before answer()")
         csr = self.csr
@@ -580,19 +629,11 @@ class FastGridEngine(BaseEngine):
             self.stage_history.append(
                 StageTimings(self._snapshot_time, 0.0, 0.0, 0.0)
             )
-            return []
+            return AnswerBatch.empty(k)
 
         result = batch_knn(
             csr, self.queries[:, 0], self.queries[:, 1], k, self._stage_tracer
         )
-
-        answers: List[AnswerList] = []
-        d_rows = result.top_d2.tolist()
-        i_rows = result.top_ids.tolist()
-        for query_id in range(nq):
-            answer = AnswerList(k)
-            answer._entries = list(zip(d_rows[query_id], i_rows[query_id]))
-            answers.append(answer)
 
         metrics = self.metrics
         if metrics.enabled:
@@ -616,7 +657,8 @@ class FastGridEngine(BaseEngine):
                 timings["select"],
             )
         )
-        return answers
+        # batch_knn allocates fresh arrays every pass: hand them over as-is.
+        return AnswerBatch(result.top_d2, result.top_ids)
 
     # ------------------------------------------------------------------
     # Introspection

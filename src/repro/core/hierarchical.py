@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import ConfigurationError, IndexStateError, NotEnoughObjectsError
-from ..grid.geometry import min_dist2_point_box
+from ..grid.geometry import min_dist2_point_box, outside_unit_square
 from ..obs.counters import CounterBlock
 from ..obs.tracing import NULL_TRACER
 from .answers import AnswerList
@@ -150,6 +150,12 @@ class HierarchicalObjectIndex:
         # Per-object back-reference to the leaf that stores it, so
         # incremental deletes need no tree descent.
         self._leaf: List[Tuple[_SubGrid, int]] = []
+        # Bounding box of the data and the unit square, and the root's
+        # open sides, while some object lies outside the square (objects
+        # there are clamped into the boundary slots, which then reach out
+        # to them); None otherwise.
+        self._extent: Optional[Tuple[float, float, float, float]] = None
+        self._root_edges: Optional[Tuple[bool, bool, bool, bool]] = None
         self._built = False
 
     # ------------------------------------------------------------------
@@ -315,7 +321,17 @@ class HierarchicalObjectIndex:
         if len(positions):
             ids = np.arange(len(positions), dtype=np.intp)
             self._bulk_fill(self._root, positions[:, 0], positions[:, 1], ids)
+        self._track_outside(positions)
         self._built = True
+
+    def _track_outside(self, positions: np.ndarray) -> None:
+        if not outside_unit_square(positions):
+            self._extent = self._root_edges = None
+            return
+        lo = np.minimum(positions.min(axis=0), 0.0)
+        hi = np.maximum(positions.max(axis=0), 1.0)
+        self._extent = (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
+        self._root_edges = (True, True, True, True)
 
     def _bulk_fill(
         self,
@@ -394,6 +410,7 @@ class HierarchicalObjectIndex:
             self._y[object_id] = y
             self._insert(object_id, x, y)
             moves += 1
+        self._track_outside(positions)
         return moves
 
     # ------------------------------------------------------------------
@@ -406,12 +423,16 @@ class HierarchicalObjectIndex:
         qy: float,
         radius2: float,
         answers: AnswerList,
+        edges: Optional[Tuple[bool, bool, bool, bool]] = None,
     ) -> None:
         """Scan the critical region of ``circle(q, r)`` top-down (Fig. 8).
 
         Descends only into slots whose cell intersects the circle, and
         additionally prunes cells that cannot beat the current k-th
-        candidate (exactness-preserving).
+        candidate (exactness-preserving).  ``edges`` flags the node's
+        sides (left, bottom, right, top) that lie on the boundary of a
+        region some objects sit outside of; slots on those sides are
+        unbounded outward.
         """
         xs = self._x
         ys = self._y
@@ -438,6 +459,11 @@ class HierarchicalObjectIndex:
             ihi = m - 1
         if jhi >= m:
             jhi = m - 1
+        if edges is not None:
+            # A circle wholly outside the node can still reach objects
+            # clamped into its boundary slots.
+            ilo, jlo = min(ilo, m - 1), min(jlo, m - 1)
+            ihi, jhi = max(ihi, 0), max(jhi, 0)
         for j in range(jlo, jhi + 1):
             base = j * m
             ylo = y0 + j * side
@@ -449,9 +475,26 @@ class HierarchicalObjectIndex:
                 elif slot.count == 0:
                     continue
                 xlo = x0 + i * side
-                d2 = min_dist2_point_box(
-                    qx, qy, xlo, ylo, xlo + side, ylo + side
-                )
+                if edges is None:
+                    slot_edges = None
+                    d2 = min_dist2_point_box(
+                        qx, qy, xlo, ylo, xlo + side, ylo + side
+                    )
+                else:
+                    slot_edges = (
+                        edges[0] and i == 0,
+                        edges[1] and j == 0,
+                        edges[2] and i == m - 1,
+                        edges[3] and j == m - 1,
+                    )
+                    d2 = min_dist2_point_box(
+                        qx,
+                        qy,
+                        -math.inf if slot_edges[0] else xlo,
+                        -math.inf if slot_edges[1] else ylo,
+                        math.inf if slot_edges[2] else xlo + side,
+                        math.inf if slot_edges[3] else ylo + side,
+                    )
                 # Both prunes strict: a box at distance exactly radius2 (or
                 # exactly the current k-th distance) can still contribute an
                 # equidistant lower-id candidate to the (dist2, id) tie-break.
@@ -459,7 +502,7 @@ class HierarchicalObjectIndex:
                     counters.cells_pruned += 1
                     continue
                 if isinstance(slot, _SubGrid):
-                    self._scan_region(slot, qx, qy, radius2, answers)
+                    self._scan_region(slot, qx, qy, radius2, answers, slot_edges)
                 else:
                     counters.leaves_scanned += 1
                     counters.objects_scanned += len(slot)
@@ -491,7 +534,11 @@ class HierarchicalObjectIndex:
             else:
                 break
         radius = node.cell_side
-        limit = math.sqrt(2.0)  # circumscribes the unit square from any point
+        radius2 = radius * radius
+        # Past the farthest corner of the data's bounding box every object
+        # has been scanned.
+        x_lo, y_lo, x_hi, y_hi = self._extent or (0.0, 0.0, 1.0, 1.0)
+        limit = math.hypot(max(qx - x_lo, x_hi - qx), max(qy - y_lo, y_hi - qy))
         first = True
         while True:
             if not first:
@@ -501,20 +548,26 @@ class HierarchicalObjectIndex:
             tracer = self.tracer
             if tracer.enabled:
                 with tracer.span("region_scan"):
-                    self._scan_region(self._root, qx, qy, radius * radius, answers)
+                    self._scan_region(
+                        self._root, qx, qy, radius2, answers, self._root_edges
+                    )
             else:
-                self._scan_region(self._root, qx, qy, radius * radius, answers)
+                self._scan_region(
+                    self._root, qx, qy, radius2, answers, self._root_edges
+                )
             if answers.full:
-                worst = math.sqrt(answers.worst_dist2)
-                if worst <= radius:
+                if answers.worst_dist2 <= radius2:
                     return answers
                 # The k candidates bound the true k-th distance; one more
-                # scan at that radius is guaranteed exact.
-                radius = worst
+                # scan at that squared radius is guaranteed exact.  (Kept
+                # squared: sqrt-then-square can round below it and prune
+                # a cell holding an equidistant lower-id candidate.)
+                radius2 = answers.worst_dist2
             else:
                 if radius > limit:
                     raise NotEnoughObjectsError(k, self.n_objects)
                 radius *= 2.0
+                radius2 = radius * radius
 
     def knn_incremental(
         self, qx: float, qy: float, k: int, previous_ids: Sequence[int]
@@ -545,9 +598,13 @@ class HierarchicalObjectIndex:
         tracer = self.tracer
         if tracer.enabled:
             with tracer.span("region_scan"):
-                self._scan_region(self._root, qx, qy, worst2, answers)
+                self._scan_region(
+                    self._root, qx, qy, worst2, answers, self._root_edges
+                )
         else:
-            self._scan_region(self._root, qx, qy, worst2, answers)
+            self._scan_region(
+                    self._root, qx, qy, worst2, answers, self._root_edges
+                )
         if len(answers) < k:  # pragma: no cover - defensive
             counters.incremental_fallbacks += 1
             return self.knn_overhaul(qx, qy, k)

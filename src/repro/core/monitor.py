@@ -12,8 +12,13 @@ method, resolved through the single table in
 :mod:`repro.engines.registry`); cycle sequencing and timing capture live
 in :class:`repro.engines.base.CyclePipeline`.  This module re-exports
 the engine classes and the cycle record type so historic imports
-(``from repro.core.monitor import BaseEngine, CycleStats, ...``) keep
+(``from repro.core.monitor import BaseEngine, CycleTiming, ...``) keep
 working.
+
+Each cycle's answers come back as one
+:class:`~repro.core.answers.AnswerBatch`: the engine's ``(nq, k)``
+squared-distance and id arrays, which also read as a
+``Sequence[QueryAnswer]`` built row by row on access.
 
 ===========================  ==================================================
 Factory                      Paper method
@@ -40,14 +45,13 @@ block — unknown keyword arguments fail with a
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from ..engines.base import (  # noqa: F401  (re-exported compatibility surface)
     BaseEngine,
     CyclePipeline,
-    CycleStats,
     CycleTiming,
     _as_queries,
 )
@@ -58,7 +62,7 @@ from ..engines.query_indexing import QueryIndexingEngine  # noqa: F401
 from ..engines.rtree_engine import RTreeEngine  # noqa: F401
 from ..errors import ConfigurationError, IndexStateError
 from ..obs.registry import MetricsRegistry
-from .answers import AnswerList, QueryAnswer
+from .answers import AnswerBatch
 
 
 class MonitoringSystem:
@@ -211,29 +215,23 @@ class MonitoringSystem:
         """Move the monitored query points (the query count must not change)."""
         self.engine.set_queries(queries)
 
-    def load(self, positions: np.ndarray) -> List[QueryAnswer]:
+    def load(self, positions: np.ndarray) -> AnswerBatch:
         """Take the initial snapshot, build the index, answer once."""
         answers = self.pipeline.run_cycle(positions, 0.0, initial=True)
         self.cycle = 0
         self._loaded = True
-        return self._package(answers, 0.0)
+        return answers
 
-    def tick(self, positions: np.ndarray) -> List[QueryAnswer]:
-        """Run one monitoring cycle against a new snapshot."""
+    def tick(self, positions: np.ndarray) -> AnswerBatch:
+        """Run one monitoring cycle against a new snapshot.
+
+        The returned batch is stamped with the cycle's snapshot time and
+        reads as a ``Sequence[QueryAnswer]``, one answer per query.
+        """
         if not self._loaded:
             raise IndexStateError("load() must run before tick()")
         self.cycle += 1
-        timestamp = self.cycle * self.tau
-        answers = self.pipeline.run_cycle(positions, timestamp)
-        return self._package(answers, timestamp)
-
-    def _package(
-        self, answers: Sequence[AnswerList], timestamp: float
-    ) -> List[QueryAnswer]:
-        return [
-            QueryAnswer(query_id, timestamp, tuple(answer.neighbors()))
-            for query_id, answer in enumerate(answers)
-        ]
+        return self.pipeline.run_cycle(positions, self.cycle * self.tau)
 
     @property
     def last_stats(self) -> CycleTiming:

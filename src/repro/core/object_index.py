@@ -28,6 +28,7 @@ from ..errors import IndexStateError, NotEnoughObjectsError
 from ..grid.geometry import (
     cells_ring,
     min_dist2_point_cell,
+    outside_unit_square,
     rect_for_radius,
     rect_paper_rcrit,
 )
@@ -100,6 +101,9 @@ class ObjectIndex:
         self._x: List[float] = []
         self._y: List[float] = []
         self._cell_flat: Optional[np.ndarray] = None
+        #: ``ncells`` while some object lies outside the unit square (its
+        #: edge cell then reaches out to it; see min_dist2_point_cell).
+        self._open_edges: Optional[int] = None
         self._built = False
 
     # ------------------------------------------------------------------
@@ -185,6 +189,7 @@ class ObjectIndex:
         self.grid.bulk_load_flat(self._cell_flat)
         self._x = positions[:, 0].tolist()
         self._y = positions[:, 1].tolist()
+        self._track_outside(positions)
         self._built = True
 
     def update(self, positions: np.ndarray) -> int:
@@ -225,7 +230,12 @@ class ObjectIndex:
         self._x = positions[:, 0].tolist()
         self._y = positions[:, 1].tolist()
         self._cell_flat = new_flat
+        self._track_outside(positions)
         return int(len(movers))
+
+    def _track_outside(self, positions: np.ndarray) -> None:
+        outside = outside_unit_square(positions)
+        self._open_edges = self.grid.ncells if outside else None
 
     # ------------------------------------------------------------------
     # Query answering
@@ -245,6 +255,7 @@ class ObjectIndex:
         xs = self._x
         ys = self._y
         prune = self.prune_cells
+        open_edges = self._open_edges
         counters = self.counters
         counters.cells_visited += rect.ncells
         for j in range(rect.jlo, rect.jhi + 1):
@@ -257,7 +268,10 @@ class ObjectIndex:
                     # Strict: a cell whose min distance *equals* the k-th
                     # distance may still hold an equidistant lower-id
                     # candidate that wins the (dist2, id) tie-break.
-                    if min_dist2_point_cell(qx, qy, i, j, delta) > answers.worst_dist2:
+                    if (
+                        min_dist2_point_cell(qx, qy, i, j, delta, open_edges)
+                        > answers.worst_dist2
+                    ):
                         counters.cells_pruned += 1
                         continue
                 counters.objects_scanned += len(bucket)

@@ -14,8 +14,8 @@
 
 from .base import (
     BaseEngine,
+    BoundedHistory,
     CyclePipeline,
-    CycleStats,
     CycleTiming,
 )
 from .brute import BruteForceEngine
@@ -42,9 +42,9 @@ from .snapshot import (
 __all__ = [
     "BENCH_PRESETS",
     "BaseEngine",
+    "BoundedHistory",
     "BruteForceEngine",
     "CyclePipeline",
-    "CycleStats",
     "CycleTiming",
     "ENGINE_PATHS",
     "FastGridEngine",

@@ -9,24 +9,39 @@ answering behind the three-call contract of the paper's cycle (§3):
 the monitor layer and the benchmark layer: the load/maintain/answer
 sequencing, wall-clock timing capture per stage, and observability
 binding (metrics registry + tracer propagation into the engine).  Each
-executed cycle appends one :class:`CycleTiming` record to
-:attr:`CyclePipeline.history`.
+executed cycle records one :class:`CycleTiming` in
+:attr:`CyclePipeline.history`, a bounded window of the most recent cycles.
 
-:class:`CycleTiming` is the single cycle-timing type of the repository.
-It replaces both the former ``CycleStats`` (per-cycle record of the
-monitor layer) and the former bench-layer ``CycleTiming`` (steady-state
-means): a record with ``cycles == 1`` is one cycle's breakdown, and
+:class:`CycleTiming` is the single cycle-timing type of the repository:
+a record with ``cycles == 1`` is one cycle's breakdown, and
 :meth:`CycleTiming.from_history` folds a history into the steady-state
-means the benchmark tables print.  ``CycleStats`` remains as an alias of
-this class for backward compatibility.
+means the benchmark tables print.
+
+Every engine answers a cycle with one
+:class:`~repro.core.answers.AnswerBatch`; the pipeline stamps it with the
+cycle's snapshot time and hands it on unchanged.
 """
 
 from __future__ import annotations
 
 import abc
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, List, Mapping, Optional, Sequence
+from typing import (
+    Callable,
+    ClassVar,
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    TypeVar,
+    Union,
+    overload,
+)
 
 import numpy as np
 
@@ -34,7 +49,7 @@ from ..errors import ConfigurationError, IndexStateError
 from ..obs.export import mean_cycle_counters
 from ..obs.registry import MetricsRegistry, NULL_REGISTRY
 from ..obs.tracing import NULL_TRACER, Tracer, span_seconds
-from ..core.answers import AnswerList
+from ..core.answers import AnswerBatch
 
 # The churn delta records and the snapshot protocol live in the state
 # plane now (they are produced by the WorldStore); re-exported here
@@ -166,8 +181,12 @@ class BaseEngine(abc.ABC):
         """Per-cycle index maintenance against a new snapshot."""
 
     @abc.abstractmethod
-    def answer(self) -> List[AnswerList]:
-        """Exact k-NN answers for the snapshot last passed to maintain()."""
+    def answer(self) -> AnswerBatch:
+        """Exact k-NN answers for the snapshot last passed to maintain().
+
+        The returned batch must stay valid after later cycles: its
+        arrays are never written again by the engine.
+        """
 
     def pop_deferred_index_seconds(self) -> float:
         """Index-maintenance seconds that ran inside :meth:`answer`.
@@ -239,9 +258,61 @@ class CycleTiming:
         return span_seconds(self.counters or {})
 
 
-#: Backward-compatible alias — the per-cycle records and the steady-state
-#: means are the same type now (see the class docstring).
-CycleStats = CycleTiming
+#: Records a :class:`BoundedHistory` keeps by default: the first (load)
+#: record plus the most recent later ones.
+HISTORY_CAPACITY = 1024
+
+_R = TypeVar("_R")
+
+
+class BoundedHistory(Sequence[_R]):
+    """The first record of a run plus a ring of the most recent later ones.
+
+    Per-cycle histories would otherwise grow by one record per cycle for
+    as long as a monitor runs.  The first record (the load cycle) is kept
+    apart from the ring, so ``history[0]`` stays the initial build and
+    "skip the first record" keeps its meaning after the ring wraps.
+    Holds at most ``capacity`` records.
+    """
+
+    def __init__(self, capacity: int = HISTORY_CAPACITY) -> None:
+        if capacity < 2:
+            raise ConfigurationError(f"history capacity must be >= 2, got {capacity}")
+        self.capacity = capacity
+        self._first: Optional[_R] = None
+        self._ring: Deque[_R] = deque(maxlen=capacity - 1)
+
+    def append(self, record: _R) -> None:
+        if self._first is None:
+            self._first = record
+        else:
+            self._ring.append(record)
+
+    def clear(self) -> None:
+        self._first = None
+        self._ring.clear()
+
+    def __len__(self) -> int:
+        return len(self._ring) + (self._first is not None)
+
+    def __iter__(self) -> Iterator[_R]:
+        if self._first is not None:
+            yield self._first
+        yield from self._ring
+
+    @overload
+    def __getitem__(self, index: int) -> _R: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[_R]: ...
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[_R, List[_R]]:
+        if isinstance(index, slice):
+            return list(self)[index]
+        row = range(len(self))[index]
+        if row == 0:
+            return self._first  # type: ignore[return-value]
+        return self._ring[row - 1]
 
 
 class CyclePipeline:
@@ -262,13 +333,13 @@ class CyclePipeline:
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.engine = engine
-        self.history: List[CycleTiming] = []
-        #: Optional per-cycle observer ``(record, answers) -> None`` called
-        #: after every executed cycle — the verify subsystem's record/replay
-        #: hook (:mod:`repro.verify`).  The raw :class:`AnswerList` objects
-        #: are passed through, so observers see exact squared distances
-        #: before any sqrt packaging.
-        self.cycle_hook: Optional[Callable[..., None]] = None
+        #: The load record followed by the most recent later cycles.
+        self.history: BoundedHistory[CycleTiming] = BoundedHistory()
+        #: Optional per-cycle observer ``(record, batch) -> None`` called
+        #: after every executed cycle with the cycle's
+        #: :class:`~repro.core.answers.AnswerBatch`, so observers see the
+        #: exact squared distances before any sqrt packaging.
+        self.cycle_hook: Optional[Callable[[CycleTiming, AnswerBatch], None]] = None
         self.registry: MetricsRegistry = (
             registry if registry is not None else NULL_REGISTRY
         )
@@ -289,8 +360,8 @@ class CyclePipeline:
 
     def run_cycle(
         self, positions: PositionsLike, timestamp: float, initial: bool = False
-    ) -> List[AnswerList]:
-        """Run one full cycle; returns the raw per-query answer lists.
+    ) -> AnswerBatch:
+        """Run one full cycle; returns its answers stamped with ``timestamp``.
 
         ``positions`` may be a published
         :class:`~repro.state.WorldSnapshot` (the zero-copy path) or any
@@ -298,7 +369,7 @@ class CyclePipeline:
         snapshot here — engines always see the snapshot type.
 
         ``initial=True`` runs the engine's :meth:`~BaseEngine.load` stage
-        (under the ``load`` span) and resets :attr:`history`; otherwise
+        (under the ``load`` span) and restarts :attr:`history`; otherwise
         :meth:`~BaseEngine.maintain` runs under the ``maintain`` span.
         An engine-requested rebuild (:meth:`BaseEngine.request_rebuild`,
         the churn-delta fallback) also routes through :meth:`load` — but
@@ -319,7 +390,7 @@ class CyclePipeline:
         index_time = time.perf_counter() - start
         start = time.perf_counter()
         with self.tracer.span("answer"):
-            answers = self.engine.answer()
+            answers = self.engine.answer().with_timestamp(timestamp)
         answer_time = time.perf_counter() - start
         # Lazy index builds that ran inside answer() belong to the index
         # phase.  Clamp to the measured answer time: parallel engines sum
@@ -331,9 +402,8 @@ class CyclePipeline:
         counters = registry.counters_since(before) if before is not None else None
         record = CycleTiming(timestamp, index_time, answer_time, counters)
         if initial:
-            self.history = [record]
-        else:
-            self.history.append(record)
+            self.history.clear()
+        self.history.append(record)
         registry.inc("cycle.count")
         registry.observe("cycle.total_seconds", record.total_time)
         if self.cycle_hook is not None:

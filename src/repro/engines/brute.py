@@ -6,7 +6,7 @@ from typing import List
 
 import numpy as np
 
-from ..core.answers import AnswerList
+from ..core.answers import AnswerBatch, AnswerList
 from ..core.brute import brute_force_knn
 from ..errors import IndexStateError
 from .base import BaseEngine
@@ -33,7 +33,7 @@ class BruteForceEngine(BaseEngine):
     def maintain(self, positions: np.ndarray) -> None:
         self._positions = np.asarray(positions, dtype=np.float64)
 
-    def answer(self) -> List[AnswerList]:
+    def answer(self) -> AnswerBatch:
         if self._positions is None:
             raise IndexStateError("load() must run before answer()")
         self.metrics.inc(
@@ -47,4 +47,4 @@ class BruteForceEngine(BaseEngine):
             ):
                 answer.offer(distance * distance, object_id)
             answers.append(answer)
-        return answers
+        return AnswerBatch.from_lists(answers, self.k)

@@ -12,7 +12,7 @@ from typing import List
 
 import numpy as np
 
-from ..core.answers import AnswerList
+from ..core.answers import AnswerBatch, AnswerList
 from ..core.hierarchical import HierarchicalObjectIndex
 from ..errors import ConfigurationError
 from ..obs.registry import MetricsRegistry
@@ -74,7 +74,7 @@ class HierarchicalEngine(BaseEngine):
                 metrics.inc(f"hier.maintain.{name}", delta)
         self._positions = positions
 
-    def answer(self) -> List[AnswerList]:
+    def answer(self) -> AnswerBatch:
         metrics = self.metrics
         before = self.index.counters.snapshot() if metrics.enabled else None
         answers: List[AnswerList] = []
@@ -90,4 +90,4 @@ class HierarchicalEngine(BaseEngine):
         if before is not None:
             for name, delta in self.index.counters.diff(before).items():
                 metrics.inc(f"hier.answer.{name}", delta)
-        return answers
+        return AnswerBatch.from_lists(answers, self.k)

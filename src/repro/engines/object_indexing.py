@@ -6,7 +6,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core.answers import AnswerList
+from ..core.answers import AnswerBatch, AnswerList
 from ..core.object_index import ObjectIndex
 from ..errors import ConfigurationError, IndexStateError
 from ..obs.registry import MetricsRegistry
@@ -90,7 +90,7 @@ class ObjectIndexingEngine(BaseEngine):
             self.metrics.inc("oi.maintain.moves", moves)
         self._positions = positions
 
-    def answer(self) -> List[AnswerList]:
+    def answer(self) -> AnswerBatch:
         if self.index is None:
             raise IndexStateError("load() must run before answer()")
         metrics = self.metrics
@@ -108,4 +108,4 @@ class ObjectIndexingEngine(BaseEngine):
         if before is not None:
             for name, delta in self.index.counters.diff(before).items():
                 metrics.inc(f"oi.answer.{name}", delta)
-        return answers
+        return AnswerBatch.from_lists(answers, self.k)

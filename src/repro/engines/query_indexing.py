@@ -14,7 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core.answers import AnswerList
+from ..core.answers import AnswerBatch, AnswerList
 from ..core.query_index import QueryIndex
 from ..errors import ConfigurationError, IndexStateError
 from ..obs.registry import MetricsRegistry
@@ -98,19 +98,19 @@ class QueryIndexingEngine(BaseEngine):
         )
         return int(ql_len[jj * n + ii].sum())
 
-    def answer(self) -> List[AnswerList]:
+    def answer(self) -> AnswerBatch:
         if self.index is None or self._positions is None:
             raise IndexStateError("load() must run before answer()")
         if self._pending_answers is not None:
             # The bootstrap cycle already produced exact answers.
             answers = self._pending_answers
             self._pending_answers = None
-            return answers
+            return AnswerBatch.from_lists(answers, self.k)
         metrics = self.metrics
         if metrics.enabled:
             metrics.inc("qi.answer.objects_scanned", len(self._positions))
             metrics.inc("qi.answer.offers", self._count_offers())
-        return self.index.answer(self._positions)
+        return AnswerBatch.from_lists(self.index.answer(self._positions), self.k)
 
     def set_queries(self, queries: np.ndarray) -> None:
         super().set_queries(queries)

@@ -8,11 +8,9 @@ change); query deltas are a plain swap + rebuild.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from ..core.answers import AnswerList
+from ..core.answers import AnswerBatch
 from ..errors import ConfigurationError
 from ..rtree.rtree import RTree
 from .base import BaseEngine
@@ -81,7 +79,7 @@ class RTreeEngine(BaseEngine):
             self.metrics.inc("rtree.maintain.updates", len(positions))
         self._positions = positions
 
-    def answer(self) -> List[AnswerList]:
+    def answer(self) -> AnswerBatch:
         metrics = self.metrics
         # Overhaul maintenance replaces the tree (and its counter block)
         # every cycle, so the diff baseline is taken from the *current*
@@ -91,4 +89,4 @@ class RTreeEngine(BaseEngine):
         if before is not None:
             for name, delta in self.index.counters.diff(before).items():
                 metrics.inc(f"rtree.answer.{name}", delta)
-        return answers
+        return AnswerBatch.from_lists(answers, self.k)

@@ -15,6 +15,18 @@ class ConfigurationError(ReproError):
     """An index, workload, or monitor was configured with invalid parameters."""
 
 
+class NonFiniteCoordinateError(ConfigurationError):
+    """Input coordinates hold NaN or infinity.
+
+    No k-NN answer can be exact for such a point, so the session and the
+    world store reject the whole call before writing anything.
+    """
+
+    def __init__(self, what: str, rows: int) -> None:
+        super().__init__(f"{what}: {rows} row(s) hold non-finite coordinates")
+        self.rows = rows
+
+
 class OutOfRegionError(ReproError):
     """A point lies outside the unit-square region of interest ``[0, 1)^2``."""
 

@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
+
+import numpy as np
 
 
 def clamp(value: float, lo: float, hi: float) -> float:
@@ -205,11 +207,30 @@ def min_dist2_point_box(
 
 
 def min_dist2_point_cell(
-    px: float, py: float, i: int, j: int, delta: float
+    px: float, py: float, i: int, j: int, delta: float,
+    open_edges: Optional[int] = None,
 ) -> float:
-    """Squared minimum distance from a point to grid cell ``(i, j)``."""
-    return min_dist2_point_box(
-        px, py, i * delta, j * delta, (i + 1) * delta, (j + 1) * delta
+    """Squared minimum distance from a point to grid cell ``(i, j)``.
+
+    ``open_edges=ncells`` treats the grid's edge cells as unbounded
+    outward: points outside the unit square are clamped into the edge
+    cells, so that is where an edge cell's contents may lie.
+    """
+    xlo, ylo = i * delta, j * delta
+    xhi, yhi = (i + 1) * delta, (j + 1) * delta
+    if open_edges is not None:
+        last = open_edges - 1
+        xlo = -math.inf if i == 0 else xlo
+        ylo = -math.inf if j == 0 else ylo
+        xhi = math.inf if i == last else xhi
+        yhi = math.inf if j == last else yhi
+    return min_dist2_point_box(px, py, xlo, ylo, xhi, yhi)
+
+
+def outside_unit_square(positions: np.ndarray) -> bool:
+    """Whether any coordinate lies outside ``[0, 1)``."""
+    return bool(len(positions)) and bool(
+        positions.min() < 0.0 or positions.max() >= 1.0
     )
 
 

@@ -18,7 +18,7 @@ churn, so the session owns the stable names: a
 :class:`QueryHandle` per registered query, and the caller's external
 object id per joined object.  Internally it keeps a row-stable *object
 universe* — a capacity-managed ``(cap, 2)`` array where each live object
-holds a fixed row until it leaves and vacant rows carry the ``(-1, -1)``
+holds a fixed row until it leaves and vacant rows carry the NaN vacancy
 sentinel.  Engines that support member mode
 (:attr:`~repro.engines.base.BaseEngine.supports_member_idx`) index that
 universe directly with the live rows as ``member_idx`` — joins and
@@ -44,6 +44,7 @@ system's metrics registry; see docs/api.md ("Sessions & churn").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -52,7 +53,7 @@ import numpy as np
 from ..core.config import MethodConfig
 from ..core.monitor import MonitoringSystem
 from ..engines.registry import build_system
-from ..errors import ConfigurationError, NotEnoughObjectsError
+from ..errors import ConfigurationError, NonFiniteCoordinateError, NotEnoughObjectsError
 from ..obs.registry import MetricsRegistry
 from ..state import QueryDelta, WorldStore
 
@@ -99,13 +100,6 @@ class SessionAnswer:
     handle: QueryHandle
     timestamp: float
     neighbors: Tuple[Tuple[int, float], ...] = field(default=())
-
-
-def _as_point(point, what: str) -> Tuple[float, float]:
-    arr = np.asarray(point, dtype=np.float64).reshape(-1)
-    if arr.shape != (2,):
-        raise ConfigurationError(f"{what} must be an (x, y) pair, got {point!r}")
-    return float(arr[0]), float(arr[1])
 
 
 class MonitoringSession:
@@ -241,6 +235,17 @@ class MonitoringSession:
         """
         self._recorder = recorder
 
+    def _point(self, point, what: str) -> Tuple[float, float]:
+        """A validated ``(x, y)``: two finite coordinates."""
+        arr = np.asarray(point, dtype=np.float64).reshape(-1)
+        if arr.shape != (2,):
+            raise ConfigurationError(f"{what} must be an (x, y) pair, got {point!r}")
+        x, y = float(arr[0]), float(arr[1])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            self.registry.inc("state.rejected_rows")
+            raise NonFiniteCoordinateError(what, 1)
+        return x, y
+
     def _record(self, event: dict) -> None:
         if self._recorder is not None:
             self._recorder.on_event(event)
@@ -286,7 +291,7 @@ class MonitoringSession:
                 f"session answers k={self.k} queries; per-query k={k} is not "
                 "supported — run a second session for a different k"
             )
-        xy = _as_point(point, "query point")
+        xy = self._point(point, "query point")
         deferred = self._admission_full("register_query", "query")
         if deferred is not None:
             return deferred
@@ -324,7 +329,7 @@ class MonitoringSession:
         joining) is a :class:`~repro.errors.ConfigurationError`.
         """
         oid = int(object_id)
-        xy = _as_point(point, "object point")
+        xy = self._point(point, "object point")
         if oid in self._pending_leave:
             del self._pending_leave[oid]
             row = self._store.row_of(oid)
@@ -366,7 +371,7 @@ class MonitoringSession:
     def move_object(self, object_id: int, point) -> None:
         """Update one object's position (effective at the next snapshot)."""
         oid = int(object_id)
-        xy = _as_point(point, "object point")
+        xy = self._point(point, "object point")
         if oid in self._pending_join:
             self._pending_join[oid] = xy
             self._record({"t": "move", "oids": [oid], "xy": [[xy[0], xy[1]]]})
@@ -387,6 +392,10 @@ class MonitoringSession:
         updates exactly those objects — live or pending admission, same
         as :meth:`move_object` (a pending join's admission point is
         updated in place).
+
+        A call holding a NaN or infinite coordinate is rejected whole
+        with :class:`~repro.errors.NonFiniteCoordinateError`; nothing is
+        written.
         """
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != 2:
@@ -405,6 +414,9 @@ class MonitoringSession:
                 raise ConfigurationError("object_ids and points length mismatch")
             live_ids, live_points = object_ids, points
             if self._pending_join:
+                # Pending joins are updated before the store write below,
+                # so the whole call is checked first.
+                self._store.reject_non_finite(points, "positions")
                 pending = np.fromiter(
                     (int(o) in self._pending_join for o in object_ids),
                     dtype=bool,
@@ -471,9 +483,9 @@ class MonitoringSession:
         positions = snap if self._member_mode else store.packed(snap)
 
         if self._started:
-            raw = self.system.tick(positions)
+            batch = self.system.tick(positions)
         else:
-            raw = self.system.load(positions)
+            batch = self.system.load(positions)
             self._started = True
 
         metrics.inc("service.cycles")
@@ -489,24 +501,18 @@ class MonitoringSession:
                 "state.copies_per_cycle", float(store.full_copies - copies_before)
             )
 
-        # One gather over the flattened neighbor ids beats per-neighbor
-        # numpy scalar indexing by ~3x at NQ in the hundreds.
-        if self._member_mode:
-            trans = store.ext_table()
-        else:
-            trans = store.ext_ids(store.live_rows())
-        flat = [oid for qa in raw for oid, _ in qa.neighbors]
-        ext_ids = trans[flat].tolist() if flat else []
-        out: Dict[QueryHandle, SessionAnswer] = {}
-        pos = 0
-        for row, qa in enumerate(raw):
-            handle = self._handles[row]
-            end = pos + len(qa.neighbors)
-            neighbors = tuple(
-                zip(ext_ids[pos:end], (dist for _, dist in qa.neighbors))
+        # Delivery: one gather from engine rows to external ids and one
+        # vectorized sqrt over the whole batch, then one pass building
+        # the answers.  Dense engines number the packed survivors, so
+        # their ids map through the live-row table first.
+        rows = batch.ids if self._member_mode else store.live_rows()[batch.ids]
+        timestamp = batch.timestamp
+        out = {
+            handle: SessionAnswer(handle, timestamp, neighbors)
+            for handle, neighbors in zip(
+                self._handles, batch.neighbor_rows(store.ext_table()[rows])
             )
-            pos = end
-            out[handle] = SessionAnswer(handle, qa.timestamp, neighbors)
+        }
         if self._recorder is not None:
             self._recorder.on_tick(out)
         return out

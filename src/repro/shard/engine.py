@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.answers import AnswerList
+from ..core.answers import AnswerBatch
 from ..engines.base import BaseEngine
 from ..errors import ConfigurationError, IndexStateError, NotEnoughObjectsError
 from ..state import as_world_snapshot
@@ -61,7 +61,7 @@ class ShardedGridEngine(BaseEngine):
 
     Churn support (member mode): the position array is treated as a
     row-stable universe whose live subset arrives via
-    ``ObjectDelta.member_idx`` — vacant rows carry the ``(-1, -1)``
+    ``ObjectDelta.member_idx`` — vacant rows carry the NaN vacancy
     sentinel and workers filter them before the stripe ownership test, so
     joins and leaves reach each stripe's delta grid as ordinary movers.
     Query deltas remap the per-query routing seeds (``_prev_kth``)
@@ -301,7 +301,7 @@ class ShardedGridEngine(BaseEngine):
         # the per-stripe delta grids update themselves incrementally in
         # run_shard_task when the new cycle's first task arrives.
 
-    def answer(self) -> List[AnswerList]:
+    def answer(self) -> AnswerBatch:
         if self._positions is None:
             raise IndexStateError("load() must run before answer()")
         k = self.k
@@ -310,7 +310,7 @@ class ShardedGridEngine(BaseEngine):
             raise NotEnoughObjectsError(k, n)
         nq = self.n_queries
         if nq == 0:
-            return []
+            return AnswerBatch.empty(k)
         qx = np.ascontiguousarray(self.queries[:, 0])
         qy = np.ascontiguousarray(self.queries[:, 1])
         S = self.n_shards
@@ -400,15 +400,7 @@ class ShardedGridEngine(BaseEngine):
                 break
             metrics.inc("shard.escalated_queries", escalated)
 
-        # --- Package + record ------------------------------------------
-        answers: List[AnswerList] = []
-        d_rows = top_d2.tolist()
-        i_rows = top_ids.tolist()
-        for query_id in range(nq):
-            answer = AnswerList(k)
-            answer._entries = list(zip(d_rows[query_id], i_rows[query_id]))
-            answers.append(answer)
-
+        # --- Record ----------------------------------------------------
         self._prev_kth = np.sqrt(top_d2[:, k - 1])
         self._prev_cycle = self._cycle
 
@@ -438,7 +430,8 @@ class ShardedGridEngine(BaseEngine):
                 )
             if stripe_objects:
                 metrics.set_gauge("shard.imbalance_ratio", self._last_imbalance)
-        return answers
+        # _merge_chunks allocates fresh arrays every round.
+        return AnswerBatch(top_d2, top_ids)
 
     def pop_deferred_index_seconds(self) -> float:
         """Index-build seconds spent inside :meth:`answer`, then reset.

@@ -177,7 +177,7 @@ class ShardWorkerPool:
         it; a new segment gets a new name, which is how workers learn to
         re-attach — task payloads always carry the current name.  Under
         churn the rows are a stable object *universe* (vacant rows hold
-        the ``(-1, -1)`` sentinel); the pool copies them verbatim and
+        the NaN vacancy sentinel); the pool copies them verbatim and
         membership is the workers' concern.
 
         ``key`` is the snapshot's ``(store token, epoch)`` identity when

@@ -69,14 +69,15 @@ def _stripe_members(
     """Row ids of the stripe's live objects.
 
     Under churn the snapshot is a row-stable *universe*: vacant rows
-    carry the sentinel ``(-1, -1)`` and are filtered out before the
-    ownership test (the sentinel x would otherwise clip into stripe 0).
+    carry the NaN vacancy sentinel and are filtered out before the
+    ownership test.  Live coordinates are always finite (non-finite
+    input is rejected at ingest), even outside the unit square.
     """
     x = positions[:, 0]
-    owned = partition.shard_of(x) == shard
     if churn:
-        owned &= x >= 0.0
-    return np.flatnonzero(owned)
+        rows = np.flatnonzero(~np.isnan(x))
+        return rows[partition.shard_of(x[rows]) == shard]
+    return np.flatnonzero(partition.shard_of(x) == shard)
 
 
 def build_shard_csr(
@@ -118,7 +119,7 @@ def run_shard_task(
     ``qy`` (routed query coordinates); optional ``obs`` (ship telemetry),
     ``bounds`` (custom stripe edges after a rebalance), ``epoch``
     (object-row remap generation) and ``churn`` (snapshot is a row
-    universe with ``(-1, -1)`` sentinel rows to skip).  Returns the
+    universe with NaN sentinel rows to skip).  Returns the
     per-query top-k blocks (``inf``/``-1`` padded when the stripe holds
     fewer than ``k`` objects) plus build/answer stage timings and — when
     ``obs`` is set — the task's counter deltas and wall time for the

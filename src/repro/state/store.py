@@ -38,16 +38,21 @@ handed out stay valid for as long as anyone holds them.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, NonFiniteCoordinateError
 from ..obs.registry import NULL_REGISTRY, MetricsRegistry
 from .snapshot import ObjectDelta, WorldSnapshot, _frozen_view
 
 #: Universe capacity floor; also the compaction floor (never shrink below).
 _MIN_CAP = 64
+
+#: Coordinate of vacant universe rows.  Non-finite input is rejected at
+#: ingest, so no live object can ever hold it.
+VACANT = np.nan
 
 #: Per-process store identities; epoch caches key on (token, epoch).
 _TOKENS = itertools.count(1)
@@ -85,12 +90,13 @@ class WorldStore:
             initial_positions = np.asarray(initial_positions, dtype=np.float64)
             if initial_positions.ndim != 2 or initial_positions.shape[1] != 2:
                 raise ConfigurationError("positions must be an (N, 2) array")
+            self.reject_non_finite(initial_positions, "initial positions")
             n0 = len(initial_positions)
         cap = max(_MIN_CAP, int(capacity or 0), n0)
         # Both buffers carry the vacancy sentinel everywhere a row was
         # never written, so reads through either are always defined.
-        self._staging = np.full((cap, 2), -1.0, dtype=np.float64)
-        self._published = np.full((cap, 2), -1.0, dtype=np.float64)
+        self._staging = np.full((cap, 2), VACANT, dtype=np.float64)
+        self._published = np.full((cap, 2), VACANT, dtype=np.float64)
         self._pending = np.zeros(cap, dtype=bool)  # written since last flip
         self._stale = np.zeros(cap, dtype=bool)  # staging lags published here
         self._cap = cap
@@ -184,22 +190,47 @@ class WorldStore:
     # ------------------------------------------------------------------
     # Writes (staging epoch)
     # ------------------------------------------------------------------
+    def reject_non_finite(self, points: np.ndarray, what: str) -> None:
+        """Refuse ``points`` if any coordinate is NaN or infinite.
+
+        One vectorized check per call.  On failure the offending rows are
+        counted under ``state.rejected_rows`` and
+        :class:`~repro.errors.NonFiniteCoordinateError` is raised before
+        anything is written.
+        """
+        finite = np.isfinite(points)
+        if not finite.all():
+            rows = int((~finite.reshape(-1, 2).all(axis=1)).sum())
+            self.registry.inc("state.rejected_rows", rows)
+            raise NonFiniteCoordinateError(what, rows)
+
     def write_row(self, row: int, x: float, y: float) -> None:
         """Write one row's position into the staging epoch."""
+        if not (math.isfinite(x) and math.isfinite(y)):
+            self.registry.inc("state.rejected_rows")
+            raise NonFiniteCoordinateError("position", 1)
         self._staging[row, 0] = x
         self._staging[row, 1] = y
         self._pending[row] = True
         self._dirty = True
 
+    def _write_vacant(self, row: int) -> None:
+        self._staging[row] = VACANT
+        self._pending[row] = True
+        self._dirty = True
+
     def write_rows(self, rows: np.ndarray, points: np.ndarray) -> None:
         """Vectorized position write into the staging epoch."""
+        self.reject_non_finite(points, "positions")
         self._staging[rows] = points
         self._pending[rows] = True
         self._dirty = True
 
     def set_queries(self, queries: np.ndarray) -> None:
         """Replace the query set (the session admits query churn here)."""
-        self._queries = _frozen_view(np.asarray(queries, dtype=np.float64))
+        queries = np.asarray(queries, dtype=np.float64)
+        self.reject_non_finite(queries, "query points")
+        self._queries = _frozen_view(queries)
 
     # ------------------------------------------------------------------
     # Reads (latest values: published overlaid with staged writes)
@@ -307,7 +338,7 @@ class WorldStore:
         for oid in leaves:
             row = table.pop(int(oid))
             self._ext_of_row[row] = -1
-            self.write_row(row, -1.0, -1.0)
+            self._write_vacant(row)
             self._free.append(row)
             left_rows.append(row)
         joined_rows: List[int] = []
@@ -359,7 +390,7 @@ class WorldStore:
         The retired pair is never written again, so snapshots already
         handed out stay frozen at their epoch's content.
         """
-        staging = np.full((new_cap, 2), -1.0, dtype=np.float64)
+        staging = np.full((new_cap, 2), VACANT, dtype=np.float64)
         staging[: len(positions)] = positions
         self._staging = staging
         self._published = staging.copy()

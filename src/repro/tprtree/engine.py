@@ -19,11 +19,11 @@ fallback — a churned cycle reloads the tree from the packed survivors.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..core.answers import AnswerList
+from ..core.answers import AnswerBatch
 from ..engines.base import BaseEngine
 from ..errors import IndexStateError
 from .tprtree import TPRTree
@@ -100,8 +100,9 @@ class TPREngine(BaseEngine):
         self._previous = positions.copy()
         self._positions = positions
 
-    def answer(self) -> List[AnswerList]:
+    def answer(self) -> AnswerBatch:
         self.metrics.inc("tpr.answer.queries", self.n_queries)
-        return [
-            self.index.knn(qx, qy, self.k, self._now) for qx, qy in self.queries
-        ]
+        return AnswerBatch.from_lists(
+            [self.index.knn(qx, qy, self.k, self._now) for qx, qy in self.queries],
+            self.k,
+        )

@@ -17,7 +17,9 @@ Subcommands:
 ``fuzz``
     Differential fuzzing over seeded scenarios; on divergence the
     failing workload is shrunk to a minimal trace and written to the
-    artifacts directory.  Exit status 1 on any divergence.
+    artifacts directory.  Every :data:`OUTSIDE_EVERY`-th scenario spreads
+    its coordinates over ``[-0.5, 1.5]`` (out-of-region input must stay
+    exact too).  Exit status 1 on any divergence.
 
 Every command prints its ``verify.*`` counters on completion.
 """
@@ -43,6 +45,9 @@ from .recorder import TraceRecorder
 from .scenarios import make_scenario
 from .shrink import shrink_workload
 from .trace import Workload, load_trace, save_trace
+
+#: Every this-many-th fuzz scenario uses out-of-region coordinates.
+OUTSIDE_EVERY = 4
 
 
 def _print_counters(registry: MetricsRegistry) -> None:
@@ -155,7 +160,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     failures = 0
     for index in range(args.scenarios):
         seed = args.seed + index
-        scenario = make_scenario(seed)
+        scenario = make_scenario(
+            seed, outside=index % OUTSIDE_EVERY == OUTSIDE_EVERY - 1
+        )
         registry.inc("verify.fuzz.scenarios")
         specs = make_specs(
             methods,

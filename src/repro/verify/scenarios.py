@@ -22,7 +22,11 @@ when they are wrong:
   drift toward a moving hotspot (grid-load imbalance), and ``roadnet``
   axis-aligned movement along lattice lines;
 * **k / ncells sweeps** — ``k`` varies per scenario and grid methods
-  get an ``ncells`` override, so cell-boundary geometry varies too.
+  get an ``ncells`` override, so cell-boundary geometry varies too;
+* **out-of-region coordinates** — ``outside=True`` maps every object and
+  query coordinate affinely onto ``[-0.5, 1.5]``, so points sit left of,
+  right of and exactly on the unit square's edges.  Answers must stay
+  exact there too (grid engines clamp such points to edge cells).
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ class Scenario:
     cycles: int
     ncells: Optional[int]  #: grid-resolution override for grid methods
     workload: Workload
+    outside: bool = False  #: coordinates spread over [-0.5, 1.5]
 
     @property
     def engine_overrides(self) -> Dict[str, object]:
@@ -62,6 +67,7 @@ class Scenario:
             f"seed={self.seed} profile={self.profile} lattice={lat} "
             f"k={self.k} objects={self.n_objects} queries={self.n_queries} "
             f"cycles={self.cycles} ncells={nc}"
+            + (" outside=[-0.5,1.5]" if self.outside else "")
         )
 
 
@@ -78,9 +84,28 @@ def _snap(xy: np.ndarray, lattice: Optional[int]) -> np.ndarray:
     return np.round(xy * lattice) / lattice
 
 
-def make_scenario(seed: int, *, cycles: Optional[int] = None) -> Scenario:
-    """Generate the scenario for ``seed`` (deterministic, no side effects)."""
+#: Affine map of unit-square coordinates onto [-0.5, 1.5] (exact on the
+#: power-of-two lattices, so every tie survives the map).
+OUTSIDE_SCALE, OUTSIDE_SHIFT = 2.0, -0.5
+
+
+def make_scenario(
+    seed: int, *, cycles: Optional[int] = None, outside: bool = False
+) -> Scenario:
+    """Generate the scenario for ``seed`` (deterministic, no side effects).
+
+    ``outside=True`` emits every coordinate mapped onto ``[-0.5, 1.5]``;
+    the random draws are the same, so the event structure matches the
+    in-region scenario of the same seed.
+    """
     rng = np.random.default_rng(seed)
+
+    def emit(xy: np.ndarray) -> list:
+        xy = np.asarray(xy, dtype=np.float64)
+        if outside:
+            xy = xy * OUTSIDE_SCALE + OUTSIDE_SHIFT
+        return xy.tolist()
+
     profile = PROFILES[int(rng.integers(len(PROFILES)))]
     lattice = [8, 16, 32, None][int(rng.integers(4))]
     k = int(rng.integers(1, 7))
@@ -96,6 +121,7 @@ def make_scenario(seed: int, *, cycles: Optional[int] = None) -> Scenario:
             "profile": profile,
             "lattice": lattice,
             "ncells": ncells,
+            "outside": outside,
         },
     )
 
@@ -118,9 +144,7 @@ def make_scenario(seed: int, *, cycles: Optional[int] = None) -> Scenario:
                 xy = np.array(pool[int(rng.integers(len(pool)))])
             else:
                 xy = _coords(rng, 1, lattice)[0]
-            events.append(
-                {"t": "join", "oid": next_oid, "xy": [float(xy[0]), float(xy[1])]}
-            )
+            events.append({"t": "join", "oid": next_oid, "xy": emit(xy)})
             live[next_oid] = np.asarray(xy, dtype=np.float64)
             axis[next_oid] = int(rng.integers(2))
             next_oid += 1
@@ -129,9 +153,7 @@ def make_scenario(seed: int, *, cycles: Optional[int] = None) -> Scenario:
         nonlocal next_hid
         for _ in range(n):
             xy = _coords(rng, 1, lattice)[0]
-            events.append(
-                {"t": "reg", "hid": next_hid, "xy": [float(xy[0]), float(xy[1])]}
-            )
+            events.append({"t": "reg", "hid": next_hid, "xy": emit(xy)})
             queries[next_hid] = np.asarray(xy, dtype=np.float64)
             next_hid += 1
 
@@ -161,7 +183,7 @@ def make_scenario(seed: int, *, cycles: Optional[int] = None) -> Scenario:
         pos = _snap(pos, lattice)
         for row, oid in enumerate(oids):
             live[oid] = pos[row]
-        events.append({"t": "move", "oids": oids, "xy": pos.tolist()})
+        events.append({"t": "move", "oids": oids, "xy": emit(pos)})
 
     for cycle in range(n_cycles):
         events: List[dict] = []
@@ -199,7 +221,7 @@ def make_scenario(seed: int, *, cycles: Optional[int] = None) -> Scenario:
             xy = _coords(rng, n_tp, lattice)
             for row, oid in enumerate(oids):
                 live[oid] = xy[row]
-            events.append({"t": "move", "oids": oids, "xy": xy.tolist()})
+            events.append({"t": "move", "oids": oids, "xy": emit(xy)})
         motion_event(events)
         workload.cycles.append(events)
 
@@ -213,6 +235,7 @@ def make_scenario(seed: int, *, cycles: Optional[int] = None) -> Scenario:
         cycles=n_cycles,
         ncells=ncells,
         workload=workload,
+        outside=outside,
     )
 
 

@@ -1,16 +1,12 @@
-"""Tests for the snapshot buffer and the (deprecated) monitoring service."""
+"""Tests for the snapshot buffer."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.brute import brute_force_knn
-from repro.core.buffer import MonitoringService, PositionBuffer
-from repro.core.monitor import MonitoringSystem
+from repro.core.buffer import PositionBuffer
 from repro.errors import ConfigurationError, OutOfRegionError
-from repro.motion import make_dataset, make_queries
-from tests.conftest import assert_same_distances
 
 
 class TestPositionBuffer:
@@ -94,67 +90,3 @@ class TestPositionBuffer:
     def test_empty_population(self):
         buffer = PositionBuffer(np.empty((0, 2)))
         assert buffer.snapshot().shape == (0, 2)
-
-
-def make_service(system, objects):
-    with pytest.warns(DeprecationWarning):
-        return MonitoringService(system, objects)
-
-
-class TestMonitoringService:
-    def test_constructing_one_warns(self):
-        objects = make_dataset("uniform", 100, seed=1)
-        queries = make_queries(2, seed=2)
-        with pytest.warns(DeprecationWarning, match="MonitoringSession"):
-            MonitoringService(MonitoringSystem.object_indexing(2, queries), objects)
-
-    def test_streaming_cycle_exact(self):
-        objects = make_dataset("uniform", 600, seed=1)
-        queries = make_queries(5, seed=2)
-        system = MonitoringSystem.object_indexing(4, queries)
-        service = make_service(system, objects)
-        assert len(service.initial_answers) == 5
-
-        # A burst of asynchronous reports, then a cycle.
-        rng = np.random.default_rng(3)
-        moved = objects.copy()
-        movers = rng.choice(600, size=200, replace=False)
-        for object_id in movers:
-            x, y = rng.random(2)
-            service.report(int(object_id), float(x), float(y))
-            moved[object_id] = (x, y)
-        answers = service.run_cycle()
-        assert service.timestamp == system.tau
-        for qa in answers:
-            qx, qy = queries[qa.query_id]
-            want = brute_force_knn(moved, qx, qy, 4)
-            assert_same_distances(qa.neighbors, want)
-
-    def test_multiple_cycles(self):
-        objects = make_dataset("uniform", 200, seed=4)
-        queries = make_queries(3, seed=5)
-        service = make_service(MonitoringSystem.hierarchical(3, queries), objects)
-        rng = np.random.default_rng(6)
-        current = objects.copy()
-        for _ in range(3):
-            for object_id in range(0, 200, 7):
-                x, y = rng.random(2)
-                service.report(object_id, float(x), float(y))
-                current[object_id] = (x, y)
-            answers = service.run_cycle()
-            for qa in answers:
-                qx, qy = queries[qa.query_id]
-                want = brute_force_knn(current, qx, qy, 3)
-                assert_same_distances(qa.neighbors, want)
-
-    def test_cycle_without_reports(self):
-        objects = make_dataset("uniform", 100, seed=7)
-        queries = make_queries(2, seed=8)
-        service = make_service(
-            MonitoringSystem.object_indexing(2, queries), objects
-        )
-        first = service.run_cycle()
-        second = service.run_cycle()
-        assert [qa.object_ids() for qa in first] == [
-            qa.object_ids() for qa in second
-        ]

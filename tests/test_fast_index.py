@@ -100,7 +100,7 @@ class TestFastEngineExactness:
             queries = rng.random((nq, 2))
             answers = fast_answers(positions, queries, k)
             for answer, (qx, qy) in zip(answers, queries):
-                got = answer.neighbors()
+                got = list(answer.neighbors)
                 want = lexicographic_knn(positions, qx, qy, k)
                 assert got == pytest.approx(want), (trial, qx, qy)
                 assert answers_equal(
@@ -123,7 +123,7 @@ class TestFastEngineExactness:
         )
         answers = fast_answers(positions, queries, k=7)
         for answer, (qx, qy) in zip(answers, queries):
-            assert answer.neighbors() == pytest.approx(
+            assert list(answer.neighbors) == pytest.approx(
                 lexicographic_knn(positions, qx, qy, 7)
             )
 
@@ -136,7 +136,7 @@ class TestFastEngineExactness:
         queries = np.array([[0.95, 0.95], [0.5, 0.5], [0.04, 0.03]])
         answers = fast_answers(positions, queries, k=60)
         for answer, (qx, qy) in zip(answers, queries):
-            assert answer.neighbors() == pytest.approx(
+            assert list(answer.neighbors) == pytest.approx(
                 lexicographic_knn(positions, qx, qy, 60)
             )
 
@@ -146,7 +146,7 @@ class TestFastEngineExactness:
         queries = rng.random((5, 2))
         answers = fast_answers(positions, queries, k=30)
         for answer, (qx, qy) in zip(answers, queries):
-            assert answer.neighbors() == pytest.approx(
+            assert list(answer.neighbors) == pytest.approx(
                 lexicographic_knn(positions, qx, qy, 30)
             )
 
@@ -155,8 +155,8 @@ class TestFastEngineExactness:
         positions = np.array([[0.5, 0.5]] * 6 + [[0.9, 0.9], [0.1, 0.2]])
         queries = np.array([[0.5, 0.5]])
         (answer,) = fast_answers(positions, queries, k=3)
-        assert answer.object_ids() == [0, 1, 2]
-        assert answer.neighbors() == pytest.approx(
+        assert answer.object_ids() == (0, 1, 2)
+        assert list(answer.neighbors) == pytest.approx(
             lexicographic_knn(positions, queries[0, 0], queries[0, 1], 3)
         )
 
@@ -168,7 +168,7 @@ class TestFastEngineExactness:
         queries = base + 1e-4 * rng.random((8, 2))
         answers = fast_answers(positions, queries, k=9)
         for answer, (qx, qy) in zip(answers, queries):
-            assert answer.neighbors() == pytest.approx(
+            assert list(answer.neighbors) == pytest.approx(
                 lexicographic_knn(positions, qx, qy, 9)
             )
 
@@ -192,7 +192,7 @@ class TestFastEngineExactness:
         monkeypatch.setattr(fast_index, "DENSE_SELECT_LIMIT", 0)
         answers = fast_answers(positions, queries, k=5)
         for answer, want in zip(answers, expected):
-            assert answer.neighbors() == pytest.approx(want)
+            assert list(answer.neighbors) == pytest.approx(want)
 
     def test_skewed_dataset_cycles(self):
         """Multi-cycle run over clustered data stays exact."""
@@ -248,7 +248,7 @@ class TestFastEngineContract:
         for kwargs in ({"ncells": 3}, {"delta": 0.25}):
             answers = fast_answers(positions, queries, 5, **kwargs)
             for answer, (qx, qy) in zip(answers, queries):
-                assert answer.neighbors() == pytest.approx(
+                assert list(answer.neighbors) == pytest.approx(
                     lexicographic_knn(positions, qx, qy, 5)
                 )
 

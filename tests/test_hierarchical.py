@@ -135,6 +135,49 @@ class TestKnn:
         want = brute_force_knn(uniform_1k, 2.0, 2.0, 5)
         assert_same_distances(got, want)
 
+    def test_rescan_radius_stays_squared(self):
+        # Four objects tie at d2 = 0.203125 and the k-th cut falls inside
+        # the tie; rescanning at sqrt(d2)**2 rounds below d2 and pruned
+        # the cell of object 3 at (0.5, 0.5), the lowest tied id.
+        points = np.array(
+            [[0.625, 0.375], [0.625, 0.25], [0.625, 0.375],
+             [0.5, 0.5], [0.625, 0.375], [0.875, 0.5]]
+        )
+        index = built(points)
+        assert index.knn_overhaul(0.25, 0.125, 4).object_ids() == [1, 0, 2, 3]
+
+    def test_circle_outside_the_square_reaches_clamped_objects(self):
+        # Shrunk fuzz case: under incremental maintenance, a circle lying
+        # wholly below the square must still scan row 0, which holds
+        # objects clamped from below it (answer: object 3, not 12).
+        from repro.verify import Workload, make_specs, run_differential
+
+        oids = [3, 12, 20, 21, 26, 27, 28, 29, 31, 39, 40, 45]
+
+        def move(*xy):
+            return {"t": "move", "oids": oids[: len(xy)], "xy": [list(p) for p in xy]}
+
+        joins = [(3, -0.25, -0.25), (12, 1.25, -0.25), (20, 0.0, 0.5), (21, 0.0, 0.75),
+                 (26, 0.25, 0.25), (27, -0.25, 0.5), (28, 0.5, 0.0), (29, 0.5, -0.25)]
+        workload = Workload(k=1, cycles=[
+            [{"t": "join", "oid": o, "xy": [x, y]} for o, x, y in joins]
+            + [{"t": "reg", "hid": 5, "xy": [0.25, -0.5]}],
+            [{"t": "join", "oid": 31, "xy": [-0.5, 1.25]},
+             move((0.0, -0.5), (1.5, -0.5), (0.25, 0.25), (0.25, 0.5), (0.0, 0.0),
+                  (0.0, 0.25), (0.75, -0.25), (0.25, -0.25), (-0.25, 1.0))],
+            [{"t": "join", "oid": 39, "xy": [0.0, 0.5]},
+             {"t": "join", "oid": 40, "xy": [0.5, 1.25]},
+             move((0.25, -0.25), (1.25, -0.25), (0.0, 0.0), (0.0, 0.25), (0.25, -0.25),
+                  (0.0, 0.0), (0.5, -0.5), (0.0, -0.5), (0.0, 0.75), (0.25, 0.25),
+                  (0.25, 1.0))],
+            [{"t": "join", "oid": 45, "xy": [0.0, 0.0]},
+             move((0.0, -0.25), (0.5, -0.25), (-0.25, -0.25), (0.0, -0.25), (0.0, 0.0),
+                  (-0.25, 0.0), (-0.25, -0.25), (0.0, -0.25), (-0.25, 0.0), (0.0, 0.0),
+                  (0.0, -0.25), (-0.25, -0.25))],
+        ])
+        report = run_differential(workload, make_specs(["brute_force", "hierarchical"]))
+        assert report.ok, [d.describe() for d in report.divergences] + report.errors
+
 
 class TestUpdate:
     def test_no_motion_no_moves(self, skewed_1k):

@@ -8,7 +8,7 @@ import pytest
 from repro.core.brute import brute_force_knn
 from repro.core.monitor import (
     BruteForceEngine,
-    CycleStats,
+    CycleTiming,
     MonitoringSystem,
     ObjectIndexingEngine,
     QueryIndexingEngine,
@@ -146,7 +146,7 @@ class TestStats:
         for _ in range(3):
             system.tick(uniform_1k)
         assert len(system.history) == 4
-        assert all(isinstance(stats, CycleStats) for stats in system.history)
+        assert all(isinstance(stats, CycleTiming) for stats in system.history)
 
     def test_stats_nonnegative(self, uniform_1k, queries_20):
         system = MonitoringSystem.query_indexing(5, queries_20)

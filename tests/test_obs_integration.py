@@ -3,7 +3,7 @@
 Covers the acceptance criteria of the observability layer: all seven
 engines emit spans and counters through one registry, counters on a
 hand-checkable grid match pencil-and-paper values, the bench layer's
-``CycleTiming`` derives from ``CycleStats``, and the observed-vs-predicted
+``CycleTiming`` is the pipeline's cycle record, and the observed-vs-predicted
 cost-model validation passes on the object-index overhaul path.
 """
 
@@ -14,7 +14,7 @@ import pytest
 
 from repro.bench.runner import CycleTiming, measure_method
 from repro.engines.registry import build_system
-from repro.core.monitor import CycleStats, MonitoringSystem
+from repro.core.monitor import MonitoringSystem
 from repro.core.object_index import ObjectIndex
 from repro.errors import IndexStateError
 from repro.motion import RandomWalkModel, make_dataset, make_queries
@@ -57,7 +57,7 @@ def test_every_engine_emits_spans_and_counters(label, factory):
         positions = motion.step(positions)
         system.tick(positions)
 
-    # Every cycle recorded its counter deltas on the CycleStats entry.
+    # Every cycle recorded its counter deltas on the CycleTiming entry.
     assert len(system.history) == 3
     for stats in system.history:
         assert stats.counters is not None
@@ -125,7 +125,7 @@ def test_3x3_grid_counts_pruning():
 
 class TestCycleStatsCompat:
     def test_positional_construction_still_works(self):
-        stats = CycleStats(1.0, 0.5, 0.25)
+        stats = CycleTiming(1.0, 0.5, 0.25)
         assert stats.timestamp == 1.0
         assert stats.index_time == 0.5
         assert stats.answer_time == 0.25
@@ -133,22 +133,22 @@ class TestCycleStatsCompat:
         assert stats.total_time == 0.75
 
     def test_equality_ignores_counters(self):
-        a = CycleStats(1.0, 0.5, 0.25, counters={"x": 1.0})
-        b = CycleStats(1.0, 0.5, 0.25)
+        a = CycleTiming(1.0, 0.5, 0.25, counters={"x": 1.0})
+        b = CycleTiming(1.0, 0.5, 0.25)
         assert a == b
 
     def test_mean_of(self):
         history = [
-            CycleStats(0.0, 1.0, 1.0),
-            CycleStats(1.0, 0.2, 0.4),
-            CycleStats(2.0, 0.4, 0.6),
+            CycleTiming(0.0, 1.0, 1.0),
+            CycleTiming(1.0, 0.2, 0.4),
+            CycleTiming(2.0, 0.4, 0.6),
         ]
-        index_mean, answer_mean, cycles = CycleStats.mean_of(history)
+        index_mean, answer_mean, cycles = CycleTiming.mean_of(history)
         assert index_mean == pytest.approx(0.3)
         assert answer_mean == pytest.approx(0.5)
         assert cycles == 2
         with pytest.raises(IndexStateError):
-            CycleStats.mean_of([])
+            CycleTiming.mean_of([])
 
 
 class TestCycleTimingDerivation:
@@ -163,7 +163,7 @@ class TestCycleTimingDerivation:
             positions = motion.step(positions)
             system.tick(positions)
         timing = CycleTiming.from_history(system.history)
-        index_mean, answer_mean, cycles = CycleStats.mean_of(system.history)
+        index_mean, answer_mean, cycles = CycleTiming.mean_of(system.history)
         assert timing.index_time == pytest.approx(index_mean)
         assert timing.answer_time == pytest.approx(answer_mean)
         assert timing.cycles == cycles
